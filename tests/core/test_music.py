@@ -28,6 +28,32 @@ def sub_model(model):
     return model.subarray_model(2, 15)
 
 
+def reference_energy(basis, model, aoa_grid, tof_grid):
+    """``||B^H a||^2 / (M N)`` by the historical two-einsum evaluation.
+
+    Test-only oracle for the GEMM kernel behind both spectrum functions.
+    """
+    m, n = model.num_antennas, model.num_subcarriers
+    phi = model.antenna_vector(aoa_grid)
+    omega = model.subcarrier_vector(tof_grid)
+    e_grid = np.asarray(basis).conj().reshape(m, n, -1)
+    partial = np.einsum("am,mnk->ank", phi, e_grid)
+    proj = np.einsum("ank,tn->atk", partial, omega)
+    return np.sum(np.abs(proj) ** 2, axis=2) / (m * n)
+
+
+def random_basis(seed, sensors, k):
+    """``k`` orthonormal complex columns in ``sensors`` dimensions."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((sensors, sensors)) + 1j * rng.standard_normal((sensors, sensors))
+    q, _ = np.linalg.qr(z)
+    return q[:, :k]
+
+
+def max_rel_error(actual, expected):
+    return float(np.max(np.abs(actual - expected) / np.abs(expected)))
+
+
 def ideal_smoothed(model, aoas, tofs, gains):
     a = model.steering_matrix(aoas, tofs)
     csi = (a @ np.asarray(gains, dtype=complex)).reshape(3, 30)
@@ -164,3 +190,72 @@ class TestSpectrum:
         )[0, 0]
         point_val = spectrum_value(e_n, sub_model, 20.0, 40e-9)
         assert point_val == pytest.approx(grid_val, rel=1e-9)
+
+
+class TestSpectrumOracle:
+    """Both public spectrum functions against the two-einsum reference."""
+
+    DEFAULT_AOA = MusicConfig().aoa_grid()
+    DEFAULT_TOF = MusicConfig().tof_grid()
+    # Off the default steps and spans, and not symmetric about zero.
+    ODD_AOA = np.arange(-63.0, 77.0, 0.7)
+    ODD_TOF = np.arange(-20e-9, 180e-9, 3.3e-9)
+
+    @pytest.mark.parametrize("k", range(1, 30))
+    def test_noise_spectrum(self, sub_model, k):
+        basis = random_basis(100 + k, 30, k)
+        expected = 1.0 / np.maximum(
+            reference_energy(basis, sub_model, self.DEFAULT_AOA, self.DEFAULT_TOF),
+            1e-18,
+        )
+        spec = music_spectrum(basis, sub_model, self.DEFAULT_AOA, self.DEFAULT_TOF)
+        assert spec.shape == (len(self.DEFAULT_AOA), len(self.DEFAULT_TOF))
+        assert spec.flags.c_contiguous
+        assert max_rel_error(spec, expected) < 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 30))
+    def test_signal_spectrum(self, sub_model, k):
+        basis = random_basis(200 + k, 30, k)
+        energy = reference_energy(basis, sub_model, self.DEFAULT_AOA, self.DEFAULT_TOF)
+        expected_denom = np.maximum(1.0 - energy, 1e-18)
+        spec = music_spectrum_from_signal(
+            basis, sub_model, self.DEFAULT_AOA, self.DEFAULT_TOF
+        )
+        # 1 - ||E_S^H a||^2 / ||a||^2 cancels when the signal subspace
+        # nearly contains a(theta, tau), in the reference as much as in
+        # the kernel, so the denominators are compared at the scale of
+        # ||a||^2 (here 1).  The estimator only takes this path when the
+        # signal side is the smaller one (k <= MN / 2); there the spectrum
+        # values themselves agree to 1e-12 as well.
+        assert np.max(np.abs(1.0 / spec - expected_denom)) < 1e-12
+        if k <= 15:
+            assert max_rel_error(spec, 1.0 / expected_denom) < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 14, 15, 16, 28, 29])
+    def test_non_default_grid(self, sub_model, k):
+        basis = random_basis(300 + k, 30, k)
+        energy = reference_energy(basis, sub_model, self.ODD_AOA, self.ODD_TOF)
+        noise = music_spectrum(basis, sub_model, self.ODD_AOA, self.ODD_TOF)
+        signal = music_spectrum_from_signal(basis, sub_model, self.ODD_AOA, self.ODD_TOF)
+        assert noise.shape == (len(self.ODD_AOA), len(self.ODD_TOF))
+        assert max_rel_error(noise, 1.0 / np.maximum(energy, 1e-18)) < 1e-12
+        assert np.max(np.abs(1.0 / signal - np.maximum(1.0 - energy, 1e-18))) < 1e-12
+
+    def test_full_array_geometry(self, model):
+        # 3 antennas x 30 subcarriers, unsmoothed: M*N = 90 sensors.
+        aoa, tof = np.arange(-90.0, 91.0, 3.0), np.arange(0.0, 200e-9, 5e-9)
+        for k in (1, 7, 89):
+            basis = random_basis(400 + k, 90, k)
+            expected = 1.0 / np.maximum(reference_energy(basis, model, aoa, tof), 1e-18)
+            assert max_rel_error(music_spectrum(basis, model, aoa, tof), expected) < 1e-12
+
+    def test_cached_operands_change_nothing(self, sub_model):
+        basis = random_basis(7, 30, 3)
+        phi = sub_model.antenna_vector(self.DEFAULT_AOA)
+        omega = sub_model.subcarrier_vector(self.DEFAULT_TOF)
+        for fn in (music_spectrum, music_spectrum_from_signal):
+            computed = fn(basis, sub_model, self.DEFAULT_AOA, self.DEFAULT_TOF)
+            cached = fn(
+                basis, sub_model, self.DEFAULT_AOA, self.DEFAULT_TOF, phi=phi, omega=omega
+            )
+            np.testing.assert_array_equal(cached, computed)

@@ -1,5 +1,7 @@
 """Tests for the runtime executors."""
 
+import ctypes
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -9,10 +11,41 @@ from repro.runtime import (
     SerialExecutor,
     create_executor,
 )
+from repro.runtime import executor as executor_module
+
+_OPENBLAS_THREAD_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
 
 
 def square(x):
     return x * x
+
+
+def openblas_threads(_item=None):
+    """Thread count of every OpenBLAS loaded here, asked through ctypes.
+
+    Independent of the executor's own lookup: the libraries are found
+    from the process's memory map and asked through their getters.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return []
+    counts = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in _OPENBLAS_THREAD_GETTERS:
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                counts.append(int(getter()))
+                break
+    return counts
 
 
 def explode(x):
@@ -89,6 +122,38 @@ class TestParallelExecutor:
         ex.map_ordered(square, [1])
         ex.close()
         ex.close()
+
+
+class TestBlasThreadCap:
+    @pytest.fixture()
+    def parent_counts(self):
+        counts = openblas_threads()
+        if not counts:
+            pytest.skip("no OpenBLAS loaded in this process")
+        return counts
+
+    def test_pool_workers_run_one_blas_thread(self, parent_counts):
+        with ParallelExecutor(workers=2) as ex:
+            per_item = ex.map_ordered(openblas_threads, range(4))
+        assert per_item == [[1] * len(parent_counts)] * 4
+
+    def test_parent_keeps_its_thread_count(self, parent_counts):
+        with ParallelExecutor(workers=2) as ex:
+            ex.map_ordered(openblas_threads, range(2))
+            assert openblas_threads() == parent_counts
+        assert openblas_threads() == parent_counts
+
+    def test_no_openblas_library_is_a_no_op(self, parent_counts, monkeypatch):
+        monkeypatch.setattr(executor_module, "_loaded_openblas_paths", lambda: [])
+        assert executor_module.limit_blas_threads() == 0
+        assert openblas_threads() == parent_counts
+
+    def test_no_setter_symbol_is_a_no_op(self, parent_counts, monkeypatch):
+        monkeypatch.setattr(
+            executor_module, "_OPENBLAS_THREAD_SETTERS", ("no_such_symbol",)
+        )
+        assert executor_module.limit_blas_threads() == 0
+        assert openblas_threads() == parent_counts
 
 
 class TestCreateExecutor:
